@@ -304,9 +304,7 @@ def test_build_defect_plan(benchmark, full_suite):
 _TIER_FLAGS = (
     "REPRO_SIM_INTERP",
     "REPRO_SIM_NO_LEVEL",
-    "REPRO_SIM_NO_TWOSTATE",
     "REPRO_SIM_NO_BATCH",
-    "REPRO_SIM_NO_NUMPY",
 )
 
 #: flag values that pin each measured tier. The three event-driven tiers

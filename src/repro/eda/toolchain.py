@@ -602,8 +602,6 @@ class Toolchain:
 
     def _batch_plan(self, dut_files: list[HdlFile], bundle):
         """The (possibly memoized) batch plan for one DUT + observation set."""
-        import os
-
         from repro.designs.model import TOP_NAME
         from repro.sim import batch as _batch
 
@@ -613,11 +611,7 @@ class Toolchain:
         )
         key = ToolchainCache.key(
             "batch-plan", dut_files, TOP_NAME,
-            extra=(
-                "clocked" if spec.clocked else "comb",
-                os.environ.get("REPRO_SIM_NO_NUMPY", "0"),
-                *ports,
-            ),
+            extra=("clocked" if spec.clocked else "comb", *ports),
         )
         with _BATCH_PLAN_LOCK:
             plan = _BATCH_PLAN_MEMO.get(key, _BATCH_PLAN_MISS)

@@ -10,8 +10,8 @@ This module plans and runs that pass:
 
 * :func:`plan_combinational` re-lowers the levelized cones' two-state emit
   sources (:class:`~repro.sim.compile.level.ConeMember` recipes) across the
-  stimulus axis via :mod:`repro.sim.compile.vector` — numpy ``uint64``
-  columns when numpy is importable, a masked-int list loop otherwise;
+  stimulus axis via :mod:`repro.sim.compile.vector` — one generated
+  masked-int loop over columns of Python ints, exact at every width;
 * :func:`plan_sequential` does the same for clocked designs whose
   edge-triggered processes were recognized as
   :class:`~repro.sim.runtime.SyncUpdate` register banks: one *transposed*
@@ -36,16 +36,16 @@ Eligibility is conservative: any process that is not a workable cone (or a
 recognized register bank), any emit that references a signal outside the
 planned namespace (clocks, resets, undriven internals read by logic), any
 width beyond the emit cap — all return ``None`` and the caller falls back
-to the event kernel. ``REPRO_SIM_NO_BATCH=1`` disables the tier wholesale;
-``REPRO_SIM_NO_NUMPY=1`` keeps it but forces the list fallback.
+to the event kernel. ``REPRO_SIM_NO_BATCH=1`` disables the tier wholesale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.sim.compile.twostate import MAX_EMIT_WIDTH
-from repro.sim.compile.vector import VectorProgram, build_program
+from repro.sim.compile.vector import build_program
 from repro.sim.kernel import Simulator
 from repro.sim.runtime import Cone, Design, Signal
 from repro.sim.values import Logic
@@ -147,11 +147,8 @@ class CombPlan:
     #: (port name, spec width, column var | None, static Logic | None) per
     #: observed output; undriven outputs carry their elaboration-time value
     outputs: tuple[tuple[str, int, str | None, Logic | None], ...]
-    program: VectorProgram
-
-    @property
-    def mode(self) -> str:
-        return self.program.mode
+    #: compiled vector program: (columns, n) -> result columns
+    program: Callable
 
 
 def plan_combinational(design: Design, in_ports, out_ports) -> CombPlan | None:
@@ -251,7 +248,7 @@ def run_vectors(plan: CombPlan, vectors, design: Design | None = None):
             )
             assert column is not None  # X-carrying vectors were demoted
             columns[var] = column
-        out = plan.program.run(columns, len(kept))
+        out = plan.program(columns, len(kept))
         for slot, index in enumerate(kept):
             row = {}
             for name, spec_width, var, static in plan.outputs:
@@ -288,7 +285,6 @@ class BatchRun:
 
     values: tuple[dict, ...]
     demotions: int
-    mode: str
 
 
 def simulate_vectors(design: Design, vectors, *, inputs=None, outputs=None):
@@ -325,7 +321,7 @@ def simulate_vectors(design: Design, vectors, *, inputs=None, outputs=None):
     if plan is None:
         return None
     rows, demotions = run_vectors(plan, list(vectors), design)
-    return BatchRun(tuple(rows), demotions, plan.mode)
+    return BatchRun(tuple(rows), demotions)
 
 
 # --------------------------------------------------------------------------
@@ -345,14 +341,10 @@ class SeqPlan:
     #: (reg column var, next column var, width, reset bits) per register
     regs: tuple[tuple[str, str, int, int], ...]
     #: inputs + old regs -> next-state register columns
-    cycle_program: VectorProgram
+    cycle_program: Callable
     #: inputs + (new) regs -> observed cone outputs; None when every output
     #: is a register or static
-    out_program: VectorProgram | None
-
-    @property
-    def mode(self) -> str:
-        return self.cycle_program.mode
+    out_program: Callable | None
 
 
 def plan_sequential(design: Design, in_ports, out_ports) -> SeqPlan | None:
@@ -466,7 +458,7 @@ def _seq_observe(plan: SeqPlan, input_cols, reg_cols, lanes: int):
     """Observed output columns for the current (post-edge) state."""
     cone_cols = {}
     if plan.out_program is not None:
-        cone_cols = plan.out_program.run({**input_cols, **reg_cols}, lanes)
+        cone_cols = plan.out_program({**input_cols, **reg_cols}, lanes)
     observed = {}
     for name, spec_width, kind, payload in plan.outputs:
         mask = _mask(spec_width)
@@ -515,7 +507,7 @@ def run_sequences(plan: SeqPlan, sequences, *, observe_reset: bool = False):
             if column is None:
                 raise ValueError("X-carrying sequential stimulus is not batchable")
             input_cols[var] = column
-        next_cols = plan.cycle_program.run({**input_cols, **reg_cols}, lanes)
+        next_cols = plan.cycle_program({**input_cols, **reg_cols}, lanes)
         reg_cols = {
             var: next_cols[next_var]
             for (var, next_var, _w, _r) in plan.regs
@@ -551,7 +543,6 @@ class BatchOutcome:
     finished_cleanly: bool
     vectors: int
     demotions: int
-    mode: str
 
 
 def _check_case(language, case_no: int, out_ports, expected, observed,
@@ -657,5 +648,4 @@ def run_bundle(plan, bundle) -> BatchOutcome | None:
         finished_cleanly=language is Language.VERILOG,
         vectors=n,
         demotions=demotions,
-        mode=plan.mode,
     )

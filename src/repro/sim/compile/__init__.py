@@ -23,21 +23,15 @@ The contract with the interpreters is strict observational equivalence:
 On top of the closure tier sits the *levelized* tier (:mod:`.level` +
 :mod:`.twostate`): static combinational cones are topologically sorted at
 elaboration and emitted as straight-line generated Python, with a two-state
-masked-int fast path while no X/Z is live on the cone's inputs. Its escape
-hatches follow the same convention:
+masked-int fast path while no X/Z is live on the cone's inputs. The fourth
+tier (:mod:`repro.sim.batch` + :mod:`.vector`) re-lowers the same cone
+emits into one masked-int loop across the stimulus axis. Three env flags
+select the tier; each also turns off every tier stacked on the one it
+disables:
 
+* ``REPRO_SIM_INTERP=1`` forces the pure interpreter;
 * ``REPRO_SIM_NO_LEVEL=1`` disables cone formation (closure tier only);
-* ``REPRO_SIM_NO_TWOSTATE=1`` keeps cones but forces their four-state
-  closure bodies (for isolating the int fast path);
-* ``REPRO_SIM_INTERP=1`` still wins over everything.
-
-The fourth tier (:mod:`repro.sim.batch` + :mod:`.vector`) re-lowers cone
-emits across the stimulus axis — numpy ``uint64`` lanes when numpy is
-importable, a masked-int list loop otherwise — and has two more hatches:
-
-* ``REPRO_SIM_NO_BATCH=1`` disables batched stimulus evaluation entirely;
-* ``REPRO_SIM_NO_NUMPY=1`` keeps batching but forces the pure-Python list
-  fallback (the same path taken when numpy is not installed).
+* ``REPRO_SIM_NO_BATCH=1`` disables batched stimulus evaluation.
 """
 
 from __future__ import annotations
@@ -55,16 +49,7 @@ def level_disabled() -> bool:
     return os.environ.get("REPRO_SIM_NO_LEVEL", "0") not in ("", "0")
 
 
-def twostate_disabled() -> bool:
-    """True when ``REPRO_SIM_NO_TWOSTATE`` forces four-state cone bodies."""
-    return os.environ.get("REPRO_SIM_NO_TWOSTATE", "0") not in ("", "0")
-
-
 def batch_disabled() -> bool:
     """True when ``REPRO_SIM_NO_BATCH`` turns off the batch stimulus tier."""
     return os.environ.get("REPRO_SIM_NO_BATCH", "0") not in ("", "0")
 
-
-def numpy_disabled() -> bool:
-    """True when ``REPRO_SIM_NO_NUMPY`` forces the list-mode batch fallback."""
-    return os.environ.get("REPRO_SIM_NO_NUMPY", "0") not in ("", "0")

@@ -79,23 +79,24 @@ class ConeMember:
 
 # -- generated-source cache ----------------------------------------------------
 
-#: source text → factory function. Cone behavior is fully determined by the
-#: source given its (S, T, F) arguments, so structurally identical cones
-#: across designs/elaborations share one code object.
+#: source text → its compiled entry function. Generated code (cone factories
+#: here, batch loops in :mod:`.vector`) is fully determined by its source, so
+#: structurally identical designs across elaborations share one code object.
 _SOURCE_CACHE: dict[str, Callable] = {}
 _SOURCE_CACHE_LIMIT = 4096
 
 
-def _compile_source(source: str) -> Callable:
-    maker = _SOURCE_CACHE.get(source)
-    if maker is None:
+def compile_source(source: str, entry: str) -> Callable:
+    """Compile generated *source* once and return its function *entry*."""
+    fn = _SOURCE_CACHE.get(source)
+    if fn is None:
         if len(_SOURCE_CACHE) >= _SOURCE_CACHE_LIMIT:
             _SOURCE_CACHE.clear()
         namespace: dict = {}
-        exec(compile(source, "<cone>", "exec"), namespace)
-        maker = namespace["_factory"]
-        _SOURCE_CACHE[source] = maker
-    return maker
+        exec(compile(source, "<generated>", "exec"), namespace)
+        fn = namespace[entry]
+        _SOURCE_CACHE[source] = fn
+    return fn
 
 
 # -- codegen -------------------------------------------------------------------
@@ -161,13 +162,13 @@ def _fourstate_source(members) -> str:
     return "\n".join(lines)
 
 
-def _build_cone(members, inputs, twostate_on: bool) -> Cone | None:
+def _build_cone(members, inputs) -> Cone | None:
     """Compile one cone from topo-ordered members, or None on any surprise."""
     try:
-        source = _twostate_source(members, inputs) if twostate_on else None
+        source = _twostate_source(members, inputs)
         if source is None:
             source = _fourstate_source(members)
-        maker = _compile_source(source)
+        maker = compile_source(source, "_factory")
     except Exception:
         return None
     targets = []
@@ -197,8 +198,6 @@ def install_cones(
     design: Design,
     members: list[ConeMember],
     external_writes: set[Signal],
-    *,
-    twostate: bool = True,
 ) -> None:
     """Levelize eligible members into cones and install them in *design*.
 
@@ -282,7 +281,7 @@ def install_cones(
             {s for m in group_members for s in m.reads} - writes,
             key=lambda s: s.name,
         )
-        cone = _build_cone(group_members, inputs, twostate)
+        cone = _build_cone(group_members, inputs)
         if cone is not None:
             built.append((cone, group_members))
     if not built:

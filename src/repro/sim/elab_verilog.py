@@ -264,7 +264,6 @@ class VerilogElaborator:
                 self.design,
                 self._cone_members,
                 self._external_writes,
-                twostate=not simcompile.twostate_disabled(),
             )
         except Exception:
             pass  # any surprise leaves the closure tier untouched

@@ -200,7 +200,6 @@ class VhdlElaborator:
                 self.design,
                 self._cone_members,
                 self._external_writes,
-                twostate=not simcompile.twostate_disabled(),
             )
         except Exception:
             pass  # any surprise leaves the closure tier untouched

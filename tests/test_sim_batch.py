@@ -2,17 +2,20 @@
 
 The equivalence suite proves the tier is observationally identical to the
 event kernel; these tests pin the *structural* contract instead: which
-designs plan, how the vector programs lay out lanes (single ``uint64``
-column, multi-lane for wide signals, masked-int list fallback), how
-X-carrying vectors demote one at a time, how the toolchain routes eligible
-bundles and counts them, and how the testbench bundle registry behaves —
+designs plan, that the masked-int vector programs stay exact beyond 64
+bits, how X-carrying vectors demote one at a time, how the toolchain routes
+eligible bundles and counts them (without importing anything beyond the
+standard library), and how the testbench bundle registry behaves —
 including the ``vectors=``/``extra_vectors=`` replacement contract.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +31,7 @@ from repro.sim.values import Logic
 _TIER_FLAGS = (
     "REPRO_SIM_INTERP",
     "REPRO_SIM_NO_LEVEL",
-    "REPRO_SIM_NO_TWOSTATE",
     "REPRO_SIM_NO_BATCH",
-    "REPRO_SIM_NO_NUMPY",
 )
 
 
@@ -47,14 +48,6 @@ def _pin(**flags):
                 os.environ.pop(flag, None)
             else:
                 os.environ[flag] = value
-
-
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def build(source: str, language=Language.VERILOG, top: str = "top_module",
@@ -116,20 +109,10 @@ class TestSimulateVectors:
             run = batch.simulate_vectors(design, vectors)
         assert run is not None
         assert run.demotions == 0
-        assert run.mode == ("numpy" if _has_numpy() else "list")
         for vector, row in zip(vectors, run.values):
             assert row["y"] == _comb_expected(vector)
 
-    def test_list_mode_matches_numpy_mode(self):
-        vectors = [{"a": a, "b": (a * 37) & 0xFF} for a in range(32)]
-        with _pin():
-            fast = batch.simulate_vectors(build(COMB_V), vectors)
-        with _pin(REPRO_SIM_NO_NUMPY="1"):
-            slow = batch.simulate_vectors(build(COMB_V), vectors)
-        assert slow is not None and slow.mode == "list"
-        assert [r["y"] for r in slow.values] == [r["y"] for r in fast.values]
-
-    def test_wide_signals_use_multiple_lanes(self):
+    def test_wide_signals_are_exact(self):
         design = build(WIDE_V)
         mask = (1 << 96) - 1
         vectors = [
@@ -138,13 +121,12 @@ class TestSimulateVectors:
             {"a": 0x0123_4567_89AB_CDEF_0011_2233, "b": 0xFFFF_0000_FFFF},
             {"a": 1 << 95, "b": 1 << 64},
         ]
-        for flags in ({}, {"REPRO_SIM_NO_NUMPY": "1"}):
-            with _pin(**flags):
-                run = batch.simulate_vectors(design, vectors)
-            assert run is not None, flags
-            for vector, row in zip(vectors, run.values):
-                want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
-                assert row["y"] == want, flags
+        with _pin():
+            run = batch.simulate_vectors(design, vectors)
+        assert run is not None
+        for vector, row in zip(vectors, run.values):
+            want = ((vector["a"] ^ vector["b"]) + vector["a"]) & mask
+            assert row["y"] == want
 
     def test_x_vector_demotes_alone(self):
         design = build(COMB_V)
@@ -305,18 +287,6 @@ class TestSimulateSequences:
         want = self._expected(lanes)
         for got, expected in zip(cycles, want):
             assert got == expected
-
-    def test_list_mode_matches(self):
-        lanes = [[{"d": 7}, {"d": 200}, {"d": 13}]]
-        with _pin():
-            _, fast = batch.simulate_sequences(
-                build(SEQ_V), lanes, inputs=[("d", 8)], outputs=[("q", 8)]
-            )
-        with _pin(REPRO_SIM_NO_NUMPY="1"):
-            _, slow = batch.simulate_sequences(
-                build(SEQ_V), lanes, inputs=[("d", 8)], outputs=[("q", 8)]
-            )
-        assert fast == slow
 
     def test_x_stimulus_is_rejected(self):
         design = build(SEQ_V)
@@ -533,6 +503,86 @@ class TestToolchainRouting:
         assert result.ok, result.log
         assert any("All tests passed" in l for l in result.output_lines)
         assert self._counters(tracer)["batch_calls"] == 0
+
+
+#: child-process body for the stdlib-only check: one generated combinational
+#: and one generated clocked bundle must both take the batch tier without
+#: any third-party module being imported along the way
+_STDLIB_ONLY_CHILD = '''
+import sys
+
+preloaded = set(sys.modules)
+
+from repro.designs import tbgen
+from repro.designs.model import CombModel, DesignSpec, PortSpec, SeqModel
+from repro.eda.toolchain import HdlFile, Language, Toolchain
+from repro.obs.sink import MemorySink
+from repro.obs.trace import Tracer, set_tracer
+
+COMB_DUT = """
+module top_module(input [7:0] a, input [7:0] b, output [7:0] y);
+    assign y = (a ^ b) + a;
+endmodule
+"""
+SEQ_DUT = """
+module top_module(input clk, input rst, input [7:0] d, output reg [7:0] q);
+    always @(posedge clk) begin
+        if (rst) q <= 8'd0;
+        else q <= q + d;
+    end
+endmodule
+"""
+
+
+def step(state, inputs):
+    nxt = (state + inputs["d"]) & 0xFF
+    return nxt, {"q": nxt}
+
+
+cases = (
+    (
+        COMB_DUT,
+        DesignSpec("stdlib_comb", (PortSpec("a", 8, "in"),
+                   PortSpec("b", 8, "in"), PortSpec("y", 8, "out")), clocked=False),
+        CombModel(lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]}),
+    ),
+    (
+        SEQ_DUT,
+        DesignSpec("stdlib_seq", (PortSpec("d", 8, "in"),
+                   PortSpec("q", 8, "out")), clocked=True),
+        SeqModel(reset=lambda: 0, step=step),
+    ),
+)
+tracer = Tracer(MemorySink())
+set_tracer(tracer)
+calls = tracer.metrics.counter("sim.batch_calls")
+for dut, spec, model in cases:
+    before = calls.value
+    tb = tbgen.make_testbench(spec, model, Language.VERILOG, spec.name)
+    result = Toolchain().simulate(
+        [HdlFile("top_module.v", dut, Language.VERILOG),
+         HdlFile("tb.v", tb, Language.VERILOG)],
+        "tb",
+    )
+    assert result.ok, result.log
+    assert calls.value == before + 1, spec.name
+imported = {name.partition(".")[0] for name in set(sys.modules) - preloaded}
+third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+assert not third_party, sorted(third_party)
+'''
+
+
+def test_batch_tier_runs_on_the_standard_library_alone():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in _TIER_FLAGS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _STDLIB_ONLY_CHILD],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestCompileMemo:

@@ -4,10 +4,10 @@ The closure compiler (``repro.sim.compile``), the levelized cone tier
 (``repro.sim.compile.level``), and the vectorized batch tier
 (``repro.sim.batch``) must be observationally identical to the generator
 interpreters they accelerate. These tests drive the same sources through
-all tiers — the batch default (plus its ``REPRO_SIM_NO_NUMPY=1`` list
-fallback), the levelized event kernel (``REPRO_SIM_NO_BATCH=1``), the
-closure-only tier (``REPRO_SIM_NO_LEVEL=1``), and the pure interpreter
-(``REPRO_SIM_INTERP=1``) — and require identical results:
+all tiers — the batch default, the levelized event kernel
+(``REPRO_SIM_NO_BATCH=1``), the closure-only tier (``REPRO_SIM_NO_LEVEL=1``),
+and the pure interpreter (``REPRO_SIM_INTERP=1``) — and require identical
+results:
 
 * a Hypothesis property over ``repro.qa.spec.generate_spec`` programs,
   comparing the full simulation observables in both languages;
@@ -44,7 +44,6 @@ _TIER_FLAGS = (
     "REPRO_SIM_INTERP",
     "REPRO_SIM_NO_LEVEL",
     "REPRO_SIM_NO_BATCH",
-    "REPRO_SIM_NO_NUMPY",
 )
 
 
@@ -79,13 +78,8 @@ def levelized_tier():
 
 
 def batch_tier():
-    """The default stack: batch recognizer on, numpy lanes when present."""
+    """The default stack: batch recognizer on."""
     return _tier()
-
-
-def batch_list_tier():
-    """The batch tier forced onto its pure-Python masked-int fallback."""
-    return _tier(REPRO_SIM_NO_NUMPY="1")
 
 
 def _observables(result):
@@ -107,7 +101,6 @@ def _simulate_all_tiers(files, top):
         ("closure", closure_tier),
         ("interp", interpreter_tier),
         ("batch", batch_tier),
-        ("batch_list", batch_list_tier),
     ):
         with tier():
             results[name] = Toolchain().simulate(files, top)
@@ -117,7 +110,7 @@ def _simulate_all_tiers(files, top):
 def _assert_tiers_agree(files, top, context):
     results = _simulate_all_tiers(files, top)
     reference = _observables(results["levelized"])
-    for name in ("closure", "interp", "batch", "batch_list"):
+    for name in ("closure", "interp", "batch"):
         assert _observables(results[name]) == reference, (
             f"{context}: levelized vs {name} divergence"
         )
@@ -243,7 +236,6 @@ def test_corpus_verdicts_hold_under_every_tier():
         closure_tier,
         levelized_tier,
         batch_tier,
-        batch_list_tier,
     ):
         with tier():
             outcomes = replay_corpus(DEFAULT_CORPUS_DIR)

@@ -16,9 +16,7 @@ from repro.eda.toolchain import HdlFile, Language, Toolchain
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.sim.kernel import Simulator
 
-_TIER_FLAGS = (
-    "REPRO_SIM_INTERP", "REPRO_SIM_NO_LEVEL", "REPRO_SIM_NO_TWOSTATE"
-)
+_TIER_FLAGS = ("REPRO_SIM_INTERP", "REPRO_SIM_NO_LEVEL")
 
 
 @contextmanager
@@ -95,13 +93,6 @@ class TestConeFormation:
         assert design.cones == []
         simulator, _ = run(design)
         assert simulator.output == ["y=15", "y=221"]
-
-    def test_no_twostate_env_flag_keeps_fourstate_cones(self):
-        design = build(CHAIN_V, REPRO_SIM_NO_TWOSTATE="1")
-        assert len(design.cones) == 1
-        simulator, stats = run(design)
-        assert simulator.output == ["y=15", "y=221"]
-        assert stats.cone_calls > 0
 
     def test_vhdl_network_forms_cone(self):
         design = build(
