@@ -445,7 +445,7 @@ class Toolchain:
         self._analyze_memoized(files, collector, analyze)
         if collector.has_errors:
             return None
-        top_source = sources.get(top, SourceFile(files[0].name, files[0].text))
+        top_source = sources.get(top) or units[0][1]
         design, _ = elaborate_verilog(modules, top, top_source, collector)
         return design
 
@@ -481,7 +481,7 @@ class Toolchain:
         if collector.has_errors:
             return None
         top = top.lower()
-        top_source = sources.get(top, SourceFile(files[0].name, files[0].text))
+        top_source = sources.get(top) or design_files[0][1]
         from repro.vhdl.ast import DesignFile
         from repro.hdl.source import SourceSpan
 

@@ -391,8 +391,8 @@ end architecture;
         syntax_mutations_verilog=[
             syntax(
                 "instance core missing its semicolon",
-                ".cin(sub), .s(y));",
-                ".cin(sub), .s(y))",
+                ".s(y));",
+                ".s(y))",
             ),
             syntax(
                 "misspelled 'module' on the adder definition",
@@ -403,8 +403,8 @@ end architecture;
         syntax_mutations_vhdl=[
             syntax(
                 "instance core missing its semicolon",
-                "cin => sub, s => y);",
-                "cin => sub, s => y)",
+                "s => y);",
+                "s => y)",
             ),
             syntax(
                 "missing 'is' on the adder4 entity",

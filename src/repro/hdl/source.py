@@ -1,14 +1,17 @@
 """Source file abstraction with line/column bookkeeping.
 
 A :class:`SourceFile` owns the full text of one HDL file and provides O(log n)
-offset-to-line/column translation. Locations and spans are value objects used
-throughout lexing, parsing, semantic analysis, and diagnostic rendering.
+offset-to-line/column translation from a lazily built line index. Locations
+and spans are value objects used throughout lexing, parsing, semantic
+analysis, and diagnostic rendering.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import functools
+import re
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -49,18 +52,18 @@ class SourceSpan:
 
 @dataclass
 class SourceFile:
-    """An HDL source file plus derived line-offset index."""
+    """An HDL source file plus derived line-offset index.
+
+    The index is built on the first location query, so a file nobody asks a
+    location of (one that compiles without diagnostics) never pays for it.
+    """
 
     name: str
     text: str
-    _line_starts: list[int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        starts = [0]
-        for index, char in enumerate(self.text):
-            if char == "\n":
-                starts.append(index + 1)
-        self._line_starts = starts
+    @functools.cached_property
+    def _line_starts(self) -> list[int]:
+        return [0, *(match.end() for match in re.finditer("\n", self.text))]
 
     @property
     def line_count(self) -> int:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.hdl.source import SourceSpan
+from repro.hdl.diagnostics import DiagnosticCollector
+from repro.hdl.source import SourceFile, SourceSpan
 
 
 class TokenKind(enum.Enum):
@@ -52,3 +53,22 @@ class Token:
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"
+
+
+def eof_token(offset: int) -> Token:
+    """The empty token that ends every stream, at the end of the text."""
+    return Token(TokenKind.EOF, "", SourceSpan(offset, offset))
+
+
+def error_token(
+    source: SourceFile,
+    collector: DiagnosticCollector,
+    code: str,
+    message: str,
+    start: int,
+    end: int,
+) -> Token:
+    """Report a lexical error over ``[start, end)`` and return its token."""
+    span = SourceSpan(start, end)
+    collector.error(code, message, source=source, span=span)
+    return Token(TokenKind.ERROR, source.text[start:end], span)

@@ -1,17 +1,24 @@
 """Verilog lexer.
 
-Produces a flat token stream with source spans. Lexical errors (unterminated
-strings/comments, malformed based literals, stray characters) are reported
-through the shared :class:`~repro.hdl.diagnostics.DiagnosticCollector` with
-``VRFC``-style codes so they surface in the compile log exactly like parser
-errors do.
+Produces a flat token stream with source spans from one compiled master
+pattern: each match is the trivia before a token (whitespace, comments,
+compiler directives) followed by exactly one token alternative, tried in
+order, so the pattern's order is the lexer's maximal-munch order. Lexical
+errors (unterminated strings/comments, malformed based literals, a lone
+``$``, stray characters) are alternatives of the same pattern; they are
+reported through the shared :class:`~repro.hdl.diagnostics.DiagnosticCollector`
+with ``VRFC``-style codes so they surface in the compile log exactly like
+parser errors do. Token classes are ASCII: any other character outside a
+comment or string is a stray character.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
-from repro.hdl.tokens import Token, TokenKind
+from repro.hdl.tokens import Token, TokenKind, eof_token, error_token
 
 VERILOG_KEYWORDS = frozenset(
     """
@@ -32,157 +39,93 @@ _OPERATORS = [
 
 _PUNCT = set("()[]{};:,.#@")
 
+_CODE = "VRFC 10-4982"
+
+#: a string up to (not including) its closing quote; ``\\`` escapes any
+#: character but a newline
+_STRING_HEAD = r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*'
+#: the size and quote of a based literal: ``4'``, ``8's`` or a bare ``'``
+#: directly before its base
+_BASED_HEAD = r"(?:[0-9][0-9_]*'[sS]?|')[bBdDhHoO]"
+
+_PATTERN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)*(?:"
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_$]*)"
+    r"|(?P<ESCAPED>\\[^\s\x80-\U0010ffff]*)"
+    rf"|(?P<BASED_NUMBER>{_BASED_HEAD}[A-Za-z0-9_?]+)"
+    rf"|(?P<NO_DIGITS>{_BASED_HEAD})"
+    r"|(?P<BAD_BASE>[0-9][0-9_]*'[sS]?)"
+    r"|(?P<NUMBER>[0-9][0-9_]*)"
+    rf'|(?P<STRING>{_STRING_HEAD}")'
+    rf"|(?P<OPEN_STRING>{_STRING_HEAD}\\?)"
+    r"|(?P<SYSTEM_ID>\$[A-Za-z0-9_]+)"
+    r"|(?P<LONE_DOLLAR>\$)"
+    r"|(?P<OPEN_COMMENT>/\*)"
+    rf"|(?P<OPERATOR>{'|'.join(map(re.escape, _OPERATORS))})"
+    rf"|(?P<PUNCT>[{re.escape(''.join(sorted(_PUNCT)))}])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<STRAY>.))",
+    re.DOTALL,
+)
+
+#: token alternatives whose text is the token text, by group name
+_KINDS = {
+    kind.name: kind
+    for kind in (TokenKind.IDENT, TokenKind.PUNCT, TokenKind.OPERATOR,
+                 TokenKind.NUMBER, TokenKind.BASED_NUMBER, TokenKind.STRING,
+                 TokenKind.SYSTEM_ID)
+}
+
+#: error alternatives whose message does not depend on the match
+_MESSAGES = {
+    "NO_DIGITS": "based literal is missing digits",
+    "OPEN_STRING": "unterminated string literal",
+    "LONE_DOLLAR": "expected system task name after '$'",
+}
+
 
 class VerilogLexer:
-    """Single-pass maximal-munch lexer for the supported Verilog subset."""
+    """Master-pattern lexer for the supported Verilog subset."""
 
     def __init__(self, source: SourceFile, collector: DiagnosticCollector):
         self.source = source
         self.collector = collector
-        self._text = source.text
-        self._pos = 0
 
     def tokenize(self) -> list[Token]:
+        text = self.source.text
         tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- helpers -------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        """Character at the cursor (+ahead), or NUL at end of input.
-
-        Returning ``"\\0"`` rather than ``""`` matters: the empty string is a
-        substring of everything, so ``self._peek() in "_$"`` would be True at
-        EOF and scanning loops would never terminate.
-        """
-        index = self._pos + ahead
-        return self._text[index] if index < len(self._text) else "\0"
-
-    def _make(self, kind: TokenKind, start: int) -> Token:
-        span = SourceSpan(start, self._pos)
-        return Token(kind, self._text[start : self._pos], span)
-
-    def _error(self, message: str, start: int) -> Token:
-        span = SourceSpan(start, max(self._pos, start + 1))
-        self.collector.error("VRFC 10-4982", message, source=self.source, span=span)
-        return Token(TokenKind.ERROR, self._text[start : self._pos], span)
-
-    # -- scanning ------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._pos += 1
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._pos += 1
-            elif char == "/" and self._peek(1) == "*":
-                start = self._pos
-                self._pos += 2
-                while self._pos < len(self._text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._pos += 1
-                if self._pos >= len(self._text):
-                    self._error("unterminated block comment", start)
-                    return
-                self._pos += 2
-            elif char == "`":
-                # compiler directives (`timescale etc.): consume the full line
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._pos += 1
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self._pos
-        if self._pos >= len(self._text):
-            return Token(TokenKind.EOF, "", SourceSpan(start, start))
-        char = self._peek()
-
-        if char.isalpha() or char == "_":
-            return self._lex_ident(start)
-        if char == "\\":
-            return self._lex_escaped_ident(start)
-        if char.isdigit() or (char == "'" and self._peek(1) in "bBdDhHoO"):
-            return self._lex_number(start)
-        if char == '"':
-            return self._lex_string(start)
-        if char == "$":
-            return self._lex_system_id(start)
-        for op in _OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._pos += len(op)
-                return self._make(TokenKind.OPERATOR, start)
-        if char in _PUNCT:
-            self._pos += 1
-            return self._make(TokenKind.PUNCT, start)
-        self._pos += 1
-        return self._error(f"unexpected character {char!r}", start)
-
-    def _lex_ident(self, start: int) -> Token:
-        while self._peek().isalnum() or self._peek() in "_$":
-            self._pos += 1
-        text = self._text[start : self._pos]
-        kind = TokenKind.KEYWORD if text in VERILOG_KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, SourceSpan(start, self._pos))
-
-    def _lex_escaped_ident(self, start: int) -> Token:
-        self._pos += 1
-        while self._pos < len(self._text) and not self._peek().isspace():
-            self._pos += 1
-        return Token(
-            TokenKind.IDENT,
-            self._text[start + 1 : self._pos],
-            SourceSpan(start, self._pos),
-        )
-
-    def _lex_number(self, start: int) -> Token:
-        # optional decimal size
-        while self._peek().isdigit() or self._peek() == "_":
-            self._pos += 1
-        if self._peek() == "'":
-            self._pos += 1
-            if self._peek() in "sS":
-                self._pos += 1
-            base = self._peek()
-            if base not in "bBdDhHoO":
-                return self._error(f"invalid base specifier {base!r} in literal", start)
-            self._pos += 1
-            digits_start = self._pos
-            while self._peek().isalnum() or self._peek() in "_?":
-                self._pos += 1
-            if self._pos == digits_start:
-                return self._error("based literal is missing digits", start)
-            return self._make(TokenKind.BASED_NUMBER, start)
-        return self._make(TokenKind.NUMBER, start)
-
-    def _lex_string(self, start: int) -> Token:
-        self._pos += 1
-        while self._pos < len(self._text) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._pos += 1
-            if self._peek() == "\n":
+        append = tokens.append
+        for match in _PATTERN.finditer(text):
+            group = match.lastgroup
+            start, end = match.span(group)
+            value = match[group]
+            kind = _KINDS.get(group)
+            if kind is not None:
+                if kind is TokenKind.IDENT and value in VERILOG_KEYWORDS:
+                    kind = TokenKind.KEYWORD
+                append(Token(kind, value, SourceSpan(start, end)))
+            elif group == "ESCAPED":
+                append(Token(TokenKind.IDENT, value[1:], SourceSpan(start, end)))
+            elif group == "EOF":
                 break
-            self._pos += 1
-        if self._peek() != '"':
-            return self._error("unterminated string literal", start)
-        self._pos += 1
-        return self._make(TokenKind.STRING, start)
+            elif group == "OPEN_COMMENT":
+                # the comment swallows the rest of the file
+                self._error("unterminated block comment", start, len(text))
+                break
+            elif group == "BAD_BASE":
+                base = text[end] if end < len(text) else "\0"
+                append(self._error(
+                    f"invalid base specifier {base!r} in literal", start, end
+                ))
+            elif group == "STRAY":
+                append(self._error(f"unexpected character {value!r}", start, end))
+            else:
+                append(self._error(_MESSAGES[group], start, end))
+        append(eof_token(len(text)))
+        return tokens
 
-    def _lex_system_id(self, start: int) -> Token:
-        self._pos += 1
-        while self._peek().isalnum() or self._peek() == "_":
-            self._pos += 1
-        if self._pos == start + 1:
-            return self._error("expected system task name after '$'", start)
-        return self._make(TokenKind.SYSTEM_ID, start)
+    def _error(self, message: str, start: int, end: int) -> Token:
+        return error_token(self.source, self.collector, _CODE, message, start, end)
 
 
 def lex_verilog(

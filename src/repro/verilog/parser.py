@@ -9,16 +9,13 @@ the behaviour the paper's Review Agent depends on to batch corrections.
 
 from __future__ import annotations
 
-from repro.hdl.diagnostics import DiagnosticCollector, Severity
+from repro.hdl.cursor import ParseError, TokenCursor
+from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
 from repro.sim.values import Logic
 from repro.verilog import ast
 from repro.verilog.lexer import VerilogLexer
-
-
-class _ParseError(Exception):
-    """Internal: unwinds to the nearest recovery point."""
 
 
 def parse_number_literal(text: str) -> tuple[Logic, bool]:
@@ -55,86 +52,13 @@ def parse_number_literal(text: str) -> tuple[Logic, bool]:
     return Logic(width, bits, xmask), bool(size_text)
 
 
-class VerilogParser:
+class VerilogParser(TokenCursor):
     """Parses a token stream into a :class:`repro.verilog.ast.SourceUnit`."""
 
-    _CODE_SYNTAX = "VRFC 10-1412"
-    _CODE_UNSUPPORTED = "VRFC 10-2951"
-
-    def __init__(self, source: SourceFile, collector: DiagnosticCollector):
-        self.source = source
-        self.collector = collector
-        self.tokens = VerilogLexer(source, collector).tokenize()
-        self.pos = 0
-
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def _at_eof(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
-
-    def _error(self, message: str, token: Token | None = None) -> _ParseError:
-        token = token or self._peek()
-        span = token.span if token.span.length else SourceSpan(
-            token.span.start_offset, token.span.start_offset + 1
-        )
-        self.collector.error(
-            self._CODE_SYNTAX, message, source=self.source, span=span
-        )
-        return _ParseError(message)
-
-    def _expect_punct(self, text: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_op(text):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{text}' {context}",
-            token,
-        )
-
-    def _expect_keyword(self, name: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_kw(name):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{name}' {context}",
-            token,
-        )
-
-    def _expect_ident(self, context: str) -> Token:
-        token = self._peek()
-        if token.kind is TokenKind.IDENT:
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected an identifier {context}",
-            token,
-        )
-
-    def _sync_to_semicolon(self) -> None:
-        depth = 0
-        while not self._at_eof():
-            token = self._peek()
-            if token.is_op("(") or token.is_op("["):
-                depth += 1
-            elif token.is_op(")") or token.is_op("]"):
-                depth = max(0, depth - 1)
-            elif depth == 0 and token.is_op(";"):
-                self._advance()
-                return
-            elif depth == 0 and token.is_kw("end", "endmodule", "endcase", "module"):
-                return
-            self._advance()
+    _LEXER = VerilogLexer
+    _SYNC_OPEN = ("(", "[")
+    _SYNC_CLOSE = (")", "]")
+    _SYNC_STOP = ("end", "endmodule", "endcase", "module")
 
     # ------------------------------------------------------------------
     # top level
@@ -152,7 +76,7 @@ class VerilogParser:
             else:
                 self.collector.error(
                     self._CODE_SYNTAX,
-                    f"syntax error near {_describe(token)}: "
+                    f"syntax error near {self._describe(token)}: "
                     "expected 'module' at top level",
                     source=self.source,
                     span=token.span,
@@ -167,7 +91,7 @@ class VerilogParser:
         start = self._advance()  # 'module'
         try:
             name = self._expect_ident("after 'module'").text
-        except _ParseError:
+        except ParseError:
             self._sync_to_endmodule()
             return None
         header_params: list[ast.ParamDecl] = []
@@ -179,7 +103,7 @@ class VerilogParser:
             if self._peek().is_op("("):
                 ports = self._parse_port_list()
             self._expect_punct(";", "to close the module header")
-        except _ParseError:
+        except ParseError:
             self._sync_to_semicolon()
         items: list[ast.ModuleItem] = list(header_params)
         while not self._at_eof() and not self._peek().is_kw("endmodule"):
@@ -331,13 +255,13 @@ class VerilogParser:
                     source=self.source,
                     span=token.span,
                 )
-                raise _ParseError(token.text)
+                raise ParseError(token.text)
             if token.kind is TokenKind.IDENT:
                 return self._parse_instantiation()
             raise self._error(
-                f"syntax error near {_describe(token)}: expected a module item"
+                f"syntax error near {self._describe(token)}: expected a module item"
             )
-        except _ParseError:
+        except ParseError:
             self._sync_to_semicolon()
             return None
 
@@ -616,7 +540,7 @@ class VerilogParser:
         if token.kind is TokenKind.IDENT or token.is_op("{"):
             return self._parse_assignment_statement()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a statement"
+            f"syntax error near {self._describe(token)}: expected a statement"
         )
 
     def _parse_block(self) -> ast.Block:
@@ -629,13 +553,13 @@ class VerilogParser:
         while not self._at_eof() and not self._peek().is_kw("end"):
             if self._peek().is_kw("endmodule", "endcase", "module"):
                 raise self._error(
-                    f"syntax error near {_describe(self._peek())}: "
+                    f"syntax error near {self._describe(self._peek())}: "
                     "missing 'end' to close 'begin' block"
                 )
             before = self.pos
             try:
                 statements.append(self.parse_statement())
-            except _ParseError:
+            except ParseError:
                 self._sync_to_semicolon()
                 if self._peek().is_kw("endmodule", "module"):
                     raise
@@ -731,7 +655,7 @@ class VerilogParser:
             blocking = False
         else:
             raise self._error(
-                f"syntax error near {_describe(token)}: expected '=' {context}"
+                f"syntax error near {self._describe(token)}: expected '=' {context}"
             )
         value = self.parse_expression()
         return ast.Assign(
@@ -811,7 +735,7 @@ class VerilogParser:
             blocking = False
         else:
             raise self._error(
-                f"syntax error near {_describe(token)}: "
+                f"syntax error near {self._describe(token)}: "
                 "expected '=' or '<=' in assignment"
             )
         if self._peek().is_op("#"):
@@ -943,7 +867,7 @@ class VerilogParser:
         if token.is_op("{"):
             return self._parse_concat()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected an expression"
+            f"syntax error near {self._describe(token)}: expected an expression"
         )
 
     def _parse_select(self, name_token: Token) -> ast.Expression:
@@ -1032,12 +956,6 @@ def _flatten_items(items) -> tuple:
         else:
             flat.append(item)
     return tuple(flat)
-
-
-def _describe(token: Token) -> str:
-    if token.kind is TokenKind.EOF:
-        return "end of file"
-    return f"'{token.text}'"
 
 
 def _expr_span(expr: ast.Expression) -> SourceSpan:

@@ -8,6 +8,7 @@ corrective prompts.
 
 from __future__ import annotations
 
+from repro.hdl.cursor import ParseError, TokenCursor
 from repro.hdl.diagnostics import DiagnosticCollector
 from repro.hdl.source import SourceFile, SourceSpan
 from repro.hdl.tokens import Token, TokenKind
@@ -27,90 +28,11 @@ KNOWN_FUNCTIONS = frozenset(
 _SEVERITIES = ("note", "warning", "error", "failure")
 
 
-class _ParseError(Exception):
-    """Internal: unwinds to the nearest recovery point."""
-
-
-class VhdlParser:
+class VhdlParser(TokenCursor):
     """Parses a token stream into a :class:`repro.vhdl.ast.DesignFile`."""
 
-    _CODE_SYNTAX = "VRFC 10-1412"
-    _CODE_UNSUPPORTED = "VRFC 10-2951"
-
-    def __init__(self, source: SourceFile, collector: DiagnosticCollector):
-        self.source = source
-        self.collector = collector
-        self.tokens = VhdlLexer(source, collector).tokenize()
-        self.pos = 0
-
-    # ------------------------------------------------------------------
-    # token plumbing
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def _at_eof(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
-
-    def _error(self, message: str, token: Token | None = None) -> _ParseError:
-        token = token or self._peek()
-        span = token.span if token.span.length else SourceSpan(
-            token.span.start_offset, token.span.start_offset + 1
-        )
-        self.collector.error(self._CODE_SYNTAX, message, source=self.source, span=span)
-        return _ParseError(message)
-
-    def _expect_punct(self, text: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_op(text):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{text}' {context}",
-            token,
-        )
-
-    def _expect_keyword(self, name: str, context: str) -> Token:
-        token = self._peek()
-        if token.is_kw(name):
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected '{name}' {context}",
-            token,
-        )
-
-    def _expect_ident(self, context: str) -> Token:
-        token = self._peek()
-        if token.kind is TokenKind.IDENT:
-            return self._advance()
-        raise self._error(
-            f"syntax error near {_describe(token)}: expected an identifier {context}",
-            token,
-        )
-
-    def _sync_to_semicolon(self) -> None:
-        depth = 0
-        while not self._at_eof():
-            token = self._peek()
-            if token.is_op("("):
-                depth += 1
-            elif token.is_op(")"):
-                depth = max(0, depth - 1)
-            elif depth == 0 and token.is_op(";"):
-                self._advance()
-                return
-            elif depth == 0 and token.is_kw(
-                "end", "begin", "entity", "architecture", "process"
-            ):
-                return
-            self._advance()
+    _LEXER = VhdlLexer
+    _SYNC_STOP = ("end", "begin", "entity", "architecture", "process")
 
     # ------------------------------------------------------------------
     # design file
@@ -143,10 +65,10 @@ class VhdlParser:
                     self._skip_design_unit()
                 else:
                     raise self._error(
-                        f"syntax error near {_describe(token)}: expected a "
+                        f"syntax error near {self._describe(token)}: expected a "
                         "design unit (entity/architecture)"
                     )
-            except _ParseError:
+            except ParseError:
                 self._sync_to_semicolon()
                 if self._peek() is token and not self._at_eof():
                     self._advance()
@@ -249,7 +171,7 @@ class VhdlParser:
                 self.collector.error(
                     self._CODE_SYNTAX,
                     f"missing port direction before "
-                    f"{_describe(direction_token)}; assuming 'in'",
+                    f"{self._describe(direction_token)}; assuming 'in'",
                     source=self.source,
                     span=direction_token.span,
                 )
@@ -294,7 +216,7 @@ class VhdlParser:
                 descending = False
             else:
                 raise self._error(
-                    f"syntax error near {_describe(token)}: expected 'downto' "
+                    f"syntax error near {self._describe(token)}: expected 'downto' "
                     "or 'to' in range constraint"
                 )
             right = self.parse_expression()
@@ -328,7 +250,7 @@ class VhdlParser:
                 decl = self._parse_arch_declaration()
                 if decl is not None:
                     declarations.extend(decl)
-            except _ParseError:
+            except ParseError:
                 self._sync_to_semicolon()
                 if self._peek().is_kw("entity", "architecture"):
                     return None
@@ -350,7 +272,7 @@ class VhdlParser:
                 statement = self._parse_concurrent_statement()
                 if statement is not None:
                     statements.append(statement)
-            except _ParseError:
+            except ParseError:
                 self._sync_to_semicolon()
                 if self.pos == before:
                     self._advance()  # recovery made no progress: force it
@@ -363,7 +285,7 @@ class VhdlParser:
                 self._advance()
             try:
                 self._expect_punct(";", f"after 'end' of architecture '{name}'")
-            except _ParseError:
+            except ParseError:
                 self._sync_to_semicolon()
         return ast.Architecture(
             span=start.span.merge(end.span),
@@ -419,7 +341,7 @@ class VhdlParser:
         if token.is_kw("end"):
             # tolerated here so the caller's `begin` expectation reports it
             raise self._error(
-                f"syntax error near {_describe(token)}: expected 'begin' or a "
+                f"syntax error near {self._describe(token)}: expected 'begin' or a "
                 "declaration"
             )
         if token.is_kw("type", "subtype", "function", "procedure", "attribute"):
@@ -429,9 +351,9 @@ class VhdlParser:
                 source=self.source,
                 span=token.span,
             )
-            raise _ParseError(token.text)
+            raise ParseError(token.text)
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a declaration "
+            f"syntax error near {self._describe(token)}: expected a declaration "
             "(signal/constant) or 'begin'"
         )
 
@@ -459,13 +381,13 @@ class VhdlParser:
                 # component-style instantiation binds to the same-named entity
                 return self._parse_component_instantiation(label)
             raise self._error(
-                f"syntax error near {_describe(after_label)}: expected "
+                f"syntax error near {self._describe(after_label)}: expected "
                 f"'process' or an instantiation after label '{label}'"
             )
         if token.kind is TokenKind.IDENT or token.is_op("("):
             return self._parse_concurrent_assign()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a concurrent "
+            f"syntax error near {self._describe(token)}: expected a concurrent "
             "statement"
         )
 
@@ -610,7 +532,7 @@ class VhdlParser:
                 )
             else:
                 raise self._error(
-                    f"syntax error near {_describe(token)}: expected 'begin' "
+                    f"syntax error near {self._describe(token)}: expected 'begin' "
                     "or a variable declaration in process"
                 )
         self._expect_keyword("begin", "in process")
@@ -727,7 +649,7 @@ class VhdlParser:
             before = self.pos
             try:
                 statements.append(self._parse_sequential_statement())
-            except _ParseError:
+            except ParseError:
                 self._sync_to_semicolon()
                 if self._peek().is_kw("entity", "architecture"):
                     raise
@@ -760,7 +682,7 @@ class VhdlParser:
         if token.kind is TokenKind.IDENT:
             return self._parse_assignment()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a sequential "
+            f"syntax error near {self._describe(token)}: expected a sequential "
             "statement"
         )
 
@@ -786,7 +708,7 @@ class VhdlParser:
                 span=_span(target).merge(semi.span), target=target, value=value
             )
         raise self._error(
-            f"syntax error near {_describe(token)}: expected '<=' or ':=' "
+            f"syntax error near {self._describe(token)}: expected '<=' or ':=' "
             "in assignment"
         )
 
@@ -980,7 +902,7 @@ class VhdlParser:
         if token.kind is TokenKind.IDENT and token.text.lower() in _SEVERITIES:
             return self._advance().text.lower()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected a severity level "
+            f"syntax error near {self._describe(token)}: expected a severity level "
             "(note/warning/error/failure)"
         )
 
@@ -1090,7 +1012,7 @@ class VhdlParser:
         if token.kind is TokenKind.IDENT:
             return self._parse_name()
         raise self._error(
-            f"syntax error near {_describe(token)}: expected an expression"
+            f"syntax error near {self._describe(token)}: expected an expression"
         )
 
     def _parse_paren_or_aggregate(self) -> ast.Expression:
@@ -1183,12 +1105,6 @@ class VhdlParser:
                 span=name_token.span, name=base, attr=attr
             )
         return result
-
-
-def _describe(token: Token) -> str:
-    if token.kind is TokenKind.EOF:
-        return "end of file"
-    return f"'{token.text}'"
 
 
 def _span(node) -> SourceSpan:

@@ -44,10 +44,13 @@ begin
 end architecture;
 """
 
-#: characters that appear in HDL, to bias the fuzz toward interesting inputs
+#: characters that appear in HDL, to bias the fuzz toward interesting inputs,
+#: plus escapes, directives, rare whitespace and non-ASCII letters and digits
+#: (which the ASCII token classes must reject as stray characters)
 HDL_ALPHABET = (
     "abcdefghijklmnopqrstuvwxyzABCDEFXZ0123456789"
     " \t\n;:,.()[]{}<>=+-*/&|^~!?#@$'\"_%"
+    "\\`\r\f\u00b2\u0663\u00e9"
 )
 
 

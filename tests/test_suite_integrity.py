@@ -15,6 +15,8 @@ import os
 
 import pytest
 
+from repro.designs.mutations import MutationError, apply_mutation
+from repro.eda.toolchain import Language
 from repro.evalsuite.suite import build_suite
 from repro.evalsuite.validate import validate_suite
 from repro.qa.grammar import ALL_OP_KINDS
@@ -41,6 +43,31 @@ def test_entire_suite_validates_in_both_languages():
         for r in failures
     )
     assert not failures, details
+
+
+def test_every_syntax_mutation_applies_after_every_functional_one():
+    """A model with both defects gets both, whichever pair it draws.
+
+    The synthetic LLM applies the functional defect first and silently drops
+    a syntax defect whose anchor the functional edit destroyed; pass@k plans
+    draw any pair, so every pair must compose.
+    """
+    broken = []
+    for problem in build_suite().problems:
+        for language in Language:
+            reference = problem.reference[language]
+            for functional in problem.functional_mutations[language]:
+                mutated = apply_mutation(reference, functional)
+                for syntax in problem.syntax_mutations[language]:
+                    try:
+                        apply_mutation(mutated, syntax)
+                    except MutationError:
+                        broken.append(
+                            f"{problem.pid} [{language.value}]: "
+                            f"{functional.description!r} then "
+                            f"{syntax.description!r}"
+                        )
+    assert not broken, "\n".join(broken)
 
 
 def test_generator_saturates_ops_and_shapes():

@@ -77,6 +77,42 @@ class TestLexer:
         texts = [t.text for t in tokens]
         assert "<<<" in texts and "===" in texts
 
+    def test_string_ending_in_backslash_at_eof_stays_in_bounds(self):
+        text = 'x = "ab\\'
+        assert len(text) == 8
+        collector = DiagnosticCollector()
+        tokens = lex_verilog(SourceFile("t.v", text), collector)
+        error, eof = tokens[-2:]
+        assert error.kind is TokenKind.ERROR and error.text == '"ab\\'
+        assert (error.span.start_offset, error.span.end_offset) == (4, 8)
+        assert (eof.span.start_offset, eof.span.end_offset) == (8, 8)
+        [diag] = collector.diagnostics
+        assert diag.message == "unterminated string literal"
+        assert (diag.location.line, diag.location.column) == (1, 5)
+
+    @pytest.mark.parametrize("char", ["\u0663", "\u00b2", "\u00e9"])
+    def test_non_ascii_outside_strings_is_a_stray_character(self, char):
+        # token classes are ASCII: no Arabic-Indic digit reads as 3, no
+        # Latin-1 letter joins an identifier
+        unit, collector = parse_verilog(
+            f"module m(output [3:0] y); assign y = {char}; endmodule"
+        )
+        assert f"unexpected character {char!r}" in [
+            d.message for d in collector.errors()
+        ]
+        tokens = lex(f"w{char}")
+        assert [t.kind for t in tokens] == [
+            TokenKind.IDENT, TokenKind.ERROR, TokenKind.EOF
+        ]
+
+    def test_non_ascii_inside_comments_and_strings_is_kept(self):
+        collector = DiagnosticCollector()
+        tokens = lex_verilog(
+            SourceFile("t.v", '// caf\u00e9\n$display("\u00b2");'), collector
+        )
+        assert not collector.diagnostics
+        assert tokens[2].text == '"\u00b2"'
+
 
 class TestNumberLiterals:
     def test_plain_decimal_is_32_bits(self):

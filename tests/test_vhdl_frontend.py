@@ -77,6 +77,32 @@ class TestLexer:
         assert tokens[-1].kind is TokenKind.EOF
 
 
+    @pytest.mark.parametrize("char", ["\u00b2", "\u0663", "\u00e9"])
+    def test_non_ascii_outside_literals_is_a_stray_character(self, char):
+        # '²'.isdigit() is True; it must not reach int() in the parser
+        design, collector = parse_vhdl(
+            ENTITY + f"architecture rtl of m is begin y <= {char}; end rtl;"
+        )
+        assert f"unexpected character {char!r}" in [
+            d.message for d in collector.errors()
+        ]
+        tokens = lex(f"sig{char}")
+        assert [t.kind for t in tokens] == [
+            TokenKind.IDENT, TokenKind.ERROR, TokenKind.EOF
+        ]
+
+    def test_non_ascii_inside_comments_and_literals_is_kept(self):
+        collector = DiagnosticCollector()
+        tokens = lex_vhdl(
+            SourceFile("t.vhd", "-- caf\u00e9\nx := \"\u00b2\" & '\u00e9';"),
+            collector,
+        )
+        assert not collector.diagnostics
+        assert [t.kind for t in tokens[2:5]] == [
+            TokenKind.STRING, TokenKind.OPERATOR, TokenKind.CHAR
+        ]
+
+
 class TestParser:
     def test_entity_ports(self):
         design = parse_ok(ENTITY)
