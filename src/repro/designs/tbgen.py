@@ -11,7 +11,6 @@ languages, so a functional defect is detected identically in each flow.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.designs.model import (
@@ -21,7 +20,7 @@ from repro.designs.model import (
     TOP_NAME,
 )
 from repro.designs.vectors import comb_vectors, seq_stimulus
-from repro.eda.toolchain import Language
+from repro.eda.toolchain import Language, Toolchain, ToolchainCache
 
 PASS_MESSAGE = "All tests passed successfully!"
 TB_NAME = "tb"
@@ -48,16 +47,14 @@ class StimulusBundle:
 
 
 #: rendered testbench text → bundle; bounded so long fuzz campaigns cannot
-#: grow it without limit (eviction only costs a kernel-tier simulation)
-_BUNDLES: OrderedDict[str, StimulusBundle] = OrderedDict()
-_BUNDLE_LIMIT = 256
+#: grow it without limit (eviction only costs a kernel-tier simulation). The
+#: bound is the toolchain's shared memo bound, which the suite's 310
+#: distinct golden testbenches fit in.
+_BUNDLES = ToolchainCache(Toolchain.FRONTEND_MEMO_MAX)
 
 
 def _register_bundle(text: str, bundle: StimulusBundle) -> str:
-    _BUNDLES[text] = bundle
-    _BUNDLES.move_to_end(text)
-    while len(_BUNDLES) > _BUNDLE_LIMIT:
-        _BUNDLES.popitem(last=False)
+    _BUNDLES.put(text, bundle)
     return text
 
 

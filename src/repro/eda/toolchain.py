@@ -18,8 +18,10 @@ Design goals:
   content-hash LRU cache (:class:`ToolchainCache`) makes repeats nearly
   free while returning results equal field-by-field to a cold run (only
   ``wall_seconds``, the true elapsed time, reflects the cheap lookup).
-  Caching is **off** by default; pass ``cache=True`` (or a configured
-  :class:`ToolchainCache`) to opt in.
+  Result caching is **off** by default; pass ``cache=True`` (or a
+  configured :class:`ToolchainCache`) to opt in. The always-on parse,
+  analysis and compile memos are :class:`ToolchainCache` instances too, all
+  bounded by :attr:`Toolchain.FRONTEND_MEMO_MAX`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-import threading
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -138,9 +139,15 @@ class ToolchainCache:
     simulator's time limit. Two source sets that happen to *render* the
     same log therefore never collide — the key is derived from the inputs,
     never from the outputs.
+
+    It is the toolchain's one LRU: the frontend memos and the testbench
+    bundle registry are instances too. ``maxsize`` defaults to the shared
+    bound, :attr:`Toolchain.FRONTEND_MEMO_MAX`.
     """
 
-    def __init__(self, maxsize: int = 256):
+    def __init__(self, maxsize: int | None = None):
+        if maxsize is None:
+            maxsize = Toolchain.FRONTEND_MEMO_MAX
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
@@ -185,19 +192,6 @@ class ToolchainCache:
         self._entries.clear()
 
 
-#: memo of batch plans keyed by DUT content + observation ports + env flags.
-#: Module-global (not per-Toolchain) because plan construction needs a full
-#: elaboration — sweeps spin up many Toolchain instances over the same DUT
-#: text. Values are ``(plan | None)``; negative entries stop ineligible
-#: designs from re-elaborating on every simulate call. Plans are immutable
-#: once built, so sharing across threads is safe; the lock only guards the
-#: OrderedDict bookkeeping.
-_BATCH_PLAN_MEMO: "OrderedDict[str, object]" = OrderedDict()
-_BATCH_PLAN_MEMO_MAX = 128
-_BATCH_PLAN_LOCK = threading.Lock()
-_BATCH_PLAN_MISS = object()
-
-
 def _copy_compile_result(result: CompileResult,
                          wall_seconds: float) -> CompileResult:
     return replace(
@@ -233,7 +227,9 @@ class Toolchain:
     #: modeled seconds per 1000 stimulus vectors on the batch tier
     SIM_PER_KVEC_SECONDS = 0.005
 
-    #: bounded size of the per-file parse memo and file-set analysis memo
+    #: bound of every memo: the per-file parse memo, the file-set analysis
+    #: memo, the compile memo, the default result cache and the testbench
+    #: bundle registry
     FRONTEND_MEMO_MAX = 512
 
     def __init__(
@@ -258,16 +254,15 @@ class Toolchain:
         # frozen dataclasses and diagnostics are immutable, so sharing them
         # across calls is safe; hits replay the recorded diagnostics into the
         # caller's collector in original order.
-        self._parse_memo: "OrderedDict[str, tuple]" = OrderedDict()
-        self._analysis_memo: "OrderedDict[str, tuple[Diagnostic, ...]]" = (
-            OrderedDict()
-        )
+        self._parse_memo = ToolchainCache(self.FRONTEND_MEMO_MAX)
+        self._analysis_memo = ToolchainCache(self.FRONTEND_MEMO_MAX)
         # compile() discards the Design it elaborates and keeps only the
         # rendered result, which is a pure function of the sources — so the
         # result itself memoizes safely (unlike simulate(), whose opt-in
         # caching stays the caller's choice). Hits skip re-elaboration, the
-        # dominant cost when the same text is compiled repeatedly.
-        self._compile_memo: "OrderedDict[str, CompileResult]" = OrderedDict()
+        # dominant cost when the same text is compiled repeatedly. With a
+        # result cache attached, compile results live there instead.
+        self._compile_memo = ToolchainCache(self.FRONTEND_MEMO_MAX)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -287,36 +282,25 @@ class Toolchain:
             "toolchain.compile", top=top, files=len(files)
         ) as span:
             started = _time.perf_counter()
-            key = ""
-            if self.cache is not None:
-                key = ToolchainCache.key("compile", files, top)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    span.set_attrs(
-                        cache="hit", ok=cached.ok,
-                        error_count=cached.error_count,
-                        tool_seconds=cached.tool_seconds,
-                    )
-                    tracer.metrics.counter("cache.hit").inc()
-                    return _copy_compile_result(
-                        cached, _time.perf_counter() - started
-                    )
-                span.set_attr("cache", "miss")
-                tracer.metrics.counter("cache.miss").inc()
-            else:
-                span.set_attr("cache", "off")
-            memo_key = key or ToolchainCache.key("compile", files, top)
-            memoized = self._compile_memo.get(memo_key)
-            if memoized is not None:
-                self._compile_memo.move_to_end(memo_key)
-                tracer.metrics.counter("frontend.compile.hit").inc()
+            attached = self.cache is not None
+            store = self.cache if attached else self._compile_memo
+            key = ToolchainCache.key("compile", files, top)
+            cached = store.get(key)
+            if cached is not None:
                 span.set_attrs(
-                    ok=memoized.ok, error_count=memoized.error_count,
-                    tool_seconds=memoized.tool_seconds,
+                    cache="hit" if attached else "off", ok=cached.ok,
+                    error_count=cached.error_count,
+                    tool_seconds=cached.tool_seconds,
                 )
+                tracer.metrics.counter(
+                    "cache.hit" if attached else "frontend.compile.hit"
+                ).inc()
                 return _copy_compile_result(
-                    memoized, _time.perf_counter() - started
+                    cached, _time.perf_counter() - started
                 )
+            span.set_attr("cache", "miss" if attached else "off")
+            if attached:
+                tracer.metrics.counter("cache.miss").inc()
             collector = DiagnosticCollector()
             language = files[0].language if files else Language.VERILOG
             design = self._build_design(files, top, collector)
@@ -332,13 +316,8 @@ class Toolchain:
                 tool_seconds=modeled,
                 wall_seconds=wall,
             )
-            if self.cache is not None:
-                # store a private copy so later caller mutations cannot poison it
-                self.cache.put(key, _copy_compile_result(result, wall))
-            self._memo_put(
-                self._compile_memo, memo_key,
-                _copy_compile_result(result, wall), self.FRONTEND_MEMO_MAX,
-            )
+            # store a private copy so later caller mutations cannot poison it
+            store.put(key, _copy_compile_result(result, wall))
             span.set_attrs(
                 ok=result.ok, error_count=result.error_count,
                 tool_seconds=result.tool_seconds,
@@ -370,20 +349,11 @@ class Toolchain:
             return self._build_verilog(files, top, collector)
         return self._build_vhdl(files, top, collector)
 
-    @staticmethod
-    def _memo_put(memo: OrderedDict, key: str, value,
-                  maxsize: int) -> None:
-        memo[key] = value
-        memo.move_to_end(key)
-        while len(memo) > maxsize:
-            memo.popitem(last=False)
-
     def _parse_cached(self, hdl_file: HdlFile):
         """Parse one file through the memo; returns (ast, diagnostics)."""
         key = ToolchainCache.key("parse", [hdl_file], "")
         entry = self._parse_memo.get(key)
         if entry is not None:
-            self._parse_memo.move_to_end(key)
             get_tracer().metrics.counter("frontend.parse.hit").inc()
             return entry
         sub = DiagnosticCollector()
@@ -396,7 +366,7 @@ class Toolchain:
                 hdl_file.text, name=hdl_file.name, collector=sub
             )
         entry = (tree, tuple(sub.diagnostics))
-        self._memo_put(self._parse_memo, key, entry, self.FRONTEND_MEMO_MAX)
+        self._parse_memo.put(key, entry)
         return entry
 
     def _analyze_memoized(self, files, collector, run) -> None:
@@ -409,16 +379,12 @@ class Toolchain:
         key = ToolchainCache.key("analyze", files, "")
         cached = self._analysis_memo.get(key)
         if cached is not None:
-            self._analysis_memo.move_to_end(key)
             get_tracer().metrics.counter("frontend.analyze.hit").inc()
             collector.diagnostics.extend(cached)
             return
         mark = len(collector.diagnostics)
         run()
-        self._memo_put(
-            self._analysis_memo, key,
-            tuple(collector.diagnostics[mark:]), self.FRONTEND_MEMO_MAX,
-        )
+        self._analysis_memo.put(key, tuple(collector.diagnostics[mark:]))
 
     def _build_verilog(self, files, top, collector):
         modules = {}
@@ -600,39 +566,20 @@ class Toolchain:
     # batch tier
     # ------------------------------------------------------------------
 
-    def _batch_plan(self, dut_files: list[HdlFile], bundle):
-        """The (possibly memoized) batch plan for one DUT + observation set."""
-        from repro.designs.model import TOP_NAME
+    @staticmethod
+    def _batch_plan(design, spec):
+        """The batch plan observing ``spec``'s ports on ``design``, or ``None``.
+
+        Not memoized: the parse and analysis memos already reduce a rebuild
+        to one DUT elaboration.
+        """
         from repro.sim import batch as _batch
 
-        spec = bundle.spec
-        ports = tuple(
-            f"{p.name}:{p.width}:{p.direction}" for p in spec.ports
-        )
-        key = ToolchainCache.key(
-            "batch-plan", dut_files, TOP_NAME,
-            extra=("clocked" if spec.clocked else "comb", *ports),
-        )
-        with _BATCH_PLAN_LOCK:
-            plan = _BATCH_PLAN_MEMO.get(key, _BATCH_PLAN_MISS)
-            if plan is not _BATCH_PLAN_MISS:
-                _BATCH_PLAN_MEMO.move_to_end(key)
-                return plan
-        design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
-        plan = None
-        if design is not None:
-            in_ports = [(p.name, p.width) for p in spec.inputs]
-            out_ports = [(p.name, p.width) for p in spec.outputs]
-            if spec.clocked:
-                plan = _batch.plan_sequential(design, in_ports, out_ports)
-            else:
-                plan = _batch.plan_combinational(design, in_ports, out_ports)
-        with _BATCH_PLAN_LOCK:
-            _BATCH_PLAN_MEMO[key] = plan
-            _BATCH_PLAN_MEMO.move_to_end(key)
-            while len(_BATCH_PLAN_MEMO) > _BATCH_PLAN_MEMO_MAX:
-                _BATCH_PLAN_MEMO.popitem(last=False)
-        return plan
+        in_ports = [(p.name, p.width) for p in spec.inputs]
+        out_ports = [(p.name, p.width) for p in spec.outputs]
+        if spec.clocked:
+            return _batch.plan_sequential(design, in_ports, out_ports)
+        return _batch.plan_combinational(design, in_ports, out_ports)
 
     def _try_batch(
         self, files: list[HdlFile], top: str, started: float
@@ -643,6 +590,7 @@ class Toolchain:
         the same file set, or ``None`` to fall through to the kernel: the
         tier is disabled, the testbench text is not a registered bundle,
         the run would exceed ``max_sim_time``, or the DUT is not batchable.
+        Each refusal of a ``tb`` top counts ``sim.batch.refused.<reason>``.
         """
         from repro.sim import compile as simcompile
 
@@ -653,27 +601,34 @@ class Toolchain:
         ):
             return None
         from repro.designs import tbgen
+        from repro.designs.model import TOP_NAME
         from repro.sim import batch as _batch
         from repro.sim.kernel import SimStats
 
         if top != tbgen.TB_NAME:
             return None
+
+        def refuse(reason: str) -> None:
+            get_tracer().metrics.counter(f"sim.batch.refused.{reason}").inc()
+
         bundle = None
         dut_files = []
         for hdl_file in files:
             found = tbgen.stimulus_bundle(hdl_file.text)
             if found is not None:
                 if bundle is not None:
-                    return None  # two testbenches in one set — not our shape
+                    # two testbenches in one set — not our shape
+                    return refuse("plan")
                 bundle = found
             else:
                 dut_files.append(hdl_file)
-        if bundle is None or not dut_files:
-            return None
-        if bundle.clocked and not bundle.spec.has_reset:
-            # without a driven rst the register prologue is not the reset
-            # constants; the canonical QA shapes always carry a reset
-            return None
+        if bundle is None:
+            return refuse("unregistered")
+        if not dut_files or (bundle.clocked and not bundle.spec.has_reset):
+            # no DUT to plan; or, without a driven rst, the register prologue
+            # is not the reset constants (the canonical QA shapes always
+            # carry a reset)
+            return refuse("plan")
         n = len(bundle.stimulus)
         if bundle.clocked:
             end_time = (
@@ -683,16 +638,19 @@ class Toolchain:
         else:
             end_time = n * tbgen.SETTLE_NS
         if end_time > self.max_sim_time:
-            return None  # the kernel would truncate; let it
-        plan = self._batch_plan(dut_files, bundle)
+            return refuse("max_time")  # the kernel would truncate; let it
+        design = self._build_design(dut_files, TOP_NAME, DiagnosticCollector())
+        if design is None:
+            return refuse("compile")  # the DUT alone does not build
+        plan = self._batch_plan(design, bundle.spec)
         if plan is None:
-            return None
+            return refuse("plan")
         compile_result = self.compile(files, top)
         if not compile_result.ok:
-            return None
+            return refuse("compile")
         outcome = _batch.run_bundle(plan, bundle)
         if outcome is None:
-            return None
+            return refuse("plan")
         stats = SimStats(
             end_time=outcome.end_time,
             batch_calls=1,

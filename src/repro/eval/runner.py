@@ -46,7 +46,6 @@ from repro.eda.toolchain import (
     HdlFile,
     Language,
     Toolchain,
-    ToolchainCache,
 )
 from repro.evalsuite.suite import Suite, build_suite
 from repro.exec.engine import ExecutionEngine
@@ -215,7 +214,6 @@ class RunnerSettings:
     freeze_testbench: bool = True
     testbench_quality: str = "full"
     use_cache: bool = True
-    cache_size: int = 512
     #: when set, worker processes attach a JSONL tracer to this file
     trace_path: str | None = None
     #: when set, worker processes spool registry snapshots to this file
@@ -252,11 +250,7 @@ class _TaskContext:
         key = (profile.name, language)
         if key not in self._configs:
             settings = self.settings
-            cache = (
-                ToolchainCache(maxsize=settings.cache_size)
-                if settings.use_cache else None
-            )
-            toolchain = Toolchain(cache=cache)
+            toolchain = Toolchain(cache=settings.use_cache)
             llm = SyntheticDesignLLM(
                 profile, self.suite,
                 testbench_quality=settings.testbench_quality,
@@ -426,7 +420,6 @@ class ExperimentRunner:
         testbench_quality: str = "full",
         workers: int = 1,
         use_cache: bool = True,
-        cache_size: int = 512,
         task_timeout: float | None = None,
         task_retries: int = 1,
         progress: Callable[[ProgressEvent, SweepMetrics], None] | None = None,
@@ -442,7 +435,6 @@ class ExperimentRunner:
         self.testbench_quality = testbench_quality
         self.workers = workers
         self.use_cache = use_cache
-        self.cache_size = cache_size
         self.task_timeout = task_timeout
         self.task_retries = task_retries
         self.progress = progress
@@ -461,7 +453,6 @@ class ExperimentRunner:
             freeze_testbench=self.freeze_testbench,
             testbench_quality=self.testbench_quality,
             use_cache=self.use_cache,
-            cache_size=self.cache_size,
             trace_path=self.trace_path,
             spool_path=self.spool_path,
         )

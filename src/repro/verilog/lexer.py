@@ -51,7 +51,7 @@ _BASED_HEAD = r"(?:[0-9][0-9_]*'[sS]?|')[bBdDhHoO]"
 _PATTERN = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)*(?:"
     r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_$]*)"
-    r"|(?P<ESCAPED>\\[^\s\x80-\U0010ffff]*)"
+    r"|(?P<ESCAPED>\\[^\s\x80-\U0010ffff]+)"
     rf"|(?P<BASED_NUMBER>{_BASED_HEAD}[A-Za-z0-9_?]+)"
     rf"|(?P<NO_DIGITS>{_BASED_HEAD})"
     r"|(?P<BAD_BASE>[0-9][0-9_]*'[sS]?)"

@@ -99,10 +99,7 @@ class VhdlLexer:
                 break
             elif group == "STRAY":
                 append(self._error(f"unexpected character {value!r}", start, end))
-            elif group == "OPEN_BIT_STRING":
-                # reported from the quote, as the string it opens
-                append(self._error("unterminated string literal", start + 1, end))
-            else:
+            else:  # OPEN_STRING / OPEN_BIT_STRING, from the literal's start
                 append(self._error("unterminated string literal", start, end))
         append(eof_token(len(text)))
         return tokens

@@ -14,7 +14,8 @@ time, which no scheduler can (or should) reproduce.
 
 import pytest
 
-from repro.eda.toolchain import Language
+from repro.designs import tbgen
+from repro.eda.toolchain import Language, Toolchain, ToolchainCache
 from repro.eval.runner import ConfigResult, ExperimentRunner
 from repro.evalsuite.suite import build_suite
 from repro.llm.profiles import CLAUDE_35_SONNET, GPT_4O
@@ -43,6 +44,21 @@ def deterministic_fields(record):
             latency.functional_llm,
             latency.functional_tool,
         ),
+        record.error,
+    )
+
+
+def verdict_fields(record):
+    """The deterministic fields that do not depend on the simulation tier:
+    everything but the modeled latencies."""
+    return (
+        record.pid,
+        record.baseline_syntax_ok,
+        record.baseline_functional_ok,
+        record.aivril_syntax_ok,
+        record.aivril_functional_ok,
+        record.syntax_iterations,
+        record.functional_iterations,
         record.error,
     )
 
@@ -147,6 +163,36 @@ class TestCacheNeutrality:
             assert (
                 [deterministic_fields(r) for r in cached_result.records]
                 == [deterministic_fields(r) for r in uncached_result.records]
+            )
+
+    def test_memo_bounds_do_not_change_records(
+        self, serial_results, monkeypatch
+    ):
+        """Bound-1 parse, analysis and compile memos and no result cache:
+        every lookup after the last store misses, and the records must
+        not notice."""
+        monkeypatch.setattr(Toolchain, "FRONTEND_MEMO_MAX", 1)
+        bounded = run_sweep(workers=1, use_cache=False)
+        for cached_result, bounded_result in zip(serial_results, bounded):
+            assert (
+                [deterministic_fields(r) for r in cached_result.records]
+                == [deterministic_fields(r) for r in bounded_result.records]
+            )
+
+    def test_bundle_registry_bound_keeps_verdicts(
+        self, serial_results, monkeypatch
+    ):
+        """A bound-1 bundle registry on top sends every golden testbench to
+        the event kernel. Verdicts and iteration counts must not notice.
+        Modeled latency does: the batch tier charges per stimulus vector,
+        the kernel per process activation."""
+        monkeypatch.setattr(Toolchain, "FRONTEND_MEMO_MAX", 1)
+        monkeypatch.setattr(tbgen, "_BUNDLES", ToolchainCache(1))
+        bounded = run_sweep(workers=1, use_cache=False)
+        for cached_result, bounded_result in zip(serial_results, bounded):
+            assert (
+                [verdict_fields(r) for r in cached_result.records]
+                == [verdict_fields(r) for r in bounded_result.records]
             )
 
 

@@ -406,6 +406,20 @@ end architecture;
 """
 
 
+@contextmanager
+def _traced():
+    from repro.obs.sink import MemorySink
+    from repro.obs.trace import Tracer, get_tracer, set_tracer
+
+    previous = get_tracer()
+    tracer = Tracer(MemorySink())
+    set_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        set_tracer(previous)
+
+
 class TestToolchainRouting:
     def _counters(self, tracer):
         return {
@@ -413,25 +427,12 @@ class TestToolchainRouting:
             for name in ("batch_calls", "batch_vectors", "batch_demotions")
         }
 
-    @contextmanager
-    def _tracer(self):
-        from repro.obs.sink import MemorySink
-        from repro.obs.trace import Tracer, get_tracer, set_tracer
-
-        previous = get_tracer()
-        tracer = Tracer(MemorySink())
-        set_tracer(tracer)
-        try:
-            yield tracer
-        finally:
-            set_tracer(previous)
-
     @pytest.mark.parametrize("language", list(Language))
     def test_eligible_bundle_routes_through_batch(self, language):
         files = _bundle_files(
             language, lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]}, "route-ok"
         )
-        with self._tracer() as tracer, _pin():
+        with _traced() as tracer, _pin():
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
         assert any("All tests passed" in l for l in result.output_lines)
@@ -447,7 +448,7 @@ class TestToolchainRouting:
             Language.VERILOG,
             lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]}, "route-off",
         )
-        with self._tracer() as tracer, _pin(REPRO_SIM_NO_BATCH="1"):
+        with _traced() as tracer, _pin(REPRO_SIM_NO_BATCH="1"):
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
         assert self._counters(tracer)["batch_calls"] == 0
@@ -498,11 +499,12 @@ class TestToolchainRouting:
             HdlFile("top_module.v", GATED_SEQ_V, Language.VERILOG),
             HdlFile("tb.v", tb, Language.VERILOG),
         ]
-        with self._tracer() as tracer, _pin():
+        with _traced() as tracer, _pin():
             result = Toolchain().simulate(files, "tb")
         assert result.ok, result.log
         assert any("All tests passed" in l for l in result.output_lines)
         assert self._counters(tracer)["batch_calls"] == 0
+        assert tracer.metrics.counter("sim.batch.refused.plan").value == 1
 
 
 #: child-process body for the stdlib-only check: one generated combinational
@@ -572,17 +574,125 @@ assert not third_party, sorted(third_party)
 '''
 
 
-def test_batch_tier_runs_on_the_standard_library_alone():
+def _run_fresh(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a new interpreter with no tier flags set."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k not in _TIER_FLAGS}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, "-c", _STDLIB_ONLY_CHILD],
+    return subprocess.run(
+        [sys.executable, "-c", body],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_batch_tier_runs_on_the_standard_library_alone():
+    result = _run_fresh(_STDLIB_ONLY_CHILD)
     assert result.returncode == 0, result.stderr
+
+
+#: a fresh process, so no earlier test's testbenches share the registry
+_SUITE_BUNDLES_CHILD = """
+from repro.designs import tbgen
+from repro.eda.toolchain import Language
+from repro.evalsuite.suite import build_suite
+
+suite = build_suite()
+missing = [
+    (problem.pid, language.value)
+    for problem in suite.problems for language in Language
+    if tbgen.stimulus_bundle(problem.golden_tb[language]) is None
+]
+assert len(suite.problems) * len(Language) == 312
+assert not missing, missing
+"""
+
+#: the suite's first golden testbench is the one a registry smaller than
+#: the suite evicts first
+_FIRST_REFERENCE_CHILD = """
+from repro.designs import tbgen
+from repro.eda.toolchain import HdlFile, Language, Toolchain
+from repro.evalsuite.suite import build_suite
+from repro.obs.sink import MemorySink
+from repro.obs.trace import Tracer, set_tracer
+
+problem = build_suite().problems[0]
+tracer = Tracer(MemorySink())
+set_tracer(tracer)
+for language in Language:
+    ext = language.file_extension
+    result = Toolchain().simulate(
+        [HdlFile("top_module" + ext, problem.reference[language], language),
+         HdlFile("tb" + ext, problem.golden_tb[language], language)],
+        "tb",
+    )
+    assert any(tbgen.PASS_MESSAGE in l for l in result.output_lines)
+counter = tracer.metrics.counter
+assert counter("sim.batch.refused.unregistered").value == 0
+assert counter("sim.batch_calls").value == 2
+"""
+
+
+class TestSuiteRegistration:
+    def test_every_golden_testbench_has_a_bundle(self):
+        result = _run_fresh(_SUITE_BUNDLES_CHILD)
+        assert result.returncode == 0, result.stderr
+
+    def test_first_reference_is_not_refused_as_unregistered(self):
+        result = _run_fresh(_FIRST_REFERENCE_CHILD)
+        assert result.returncode == 0, result.stderr
+
+
+class TestRefusalCounters:
+    def _refused(self, tracer):
+        return {
+            reason: tracer.metrics.counter(
+                f"sim.batch.refused.{reason}"
+            ).value
+            for reason in ("unregistered", "max_time", "plan", "compile")
+        }
+
+    def test_unregistered_testbench(self):
+        files = [
+            HdlFile("top_module.v", COMB_V, Language.VERILOG),
+            HdlFile("tb.v", "module tb; endmodule", Language.VERILOG),
+        ]
+        with _traced() as tracer, _pin():
+            Toolchain().simulate(files, "tb")
+        assert self._refused(tracer) == {
+            "unregistered": 1, "max_time": 0, "plan": 0, "compile": 0,
+        }
+
+    def test_max_time(self):
+        files = _bundle_files(
+            Language.VERILOG, lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]},
+            "refuse-time",
+        )
+        with _traced() as tracer, _pin():
+            Toolchain(max_sim_time=1).simulate(files, "tb")
+        assert self._refused(tracer)["max_time"] == 1
+
+    def test_dut_that_does_not_build(self):
+        files = _bundle_files(
+            Language.VERILOG, lambda v: {"y": (v["a"] ^ v["b"]) + v["a"]},
+            "refuse-compile",
+        )
+        files[0] = HdlFile("top_module.v", "module top_module(; endmodule",
+                           Language.VERILOG)
+        with _traced() as tracer, _pin():
+            result = Toolchain().simulate(files, "tb")
+        assert not result.ok
+        assert self._refused(tracer) == {
+            "unregistered": 0, "max_time": 0, "plan": 0, "compile": 1,
+        }
+
+    def test_other_tops_are_not_counted(self):
+        with _traced() as tracer, _pin():
+            Toolchain().simulate(
+                [HdlFile("t.v", COMB_V, Language.VERILOG)], "top_module"
+            )
+        assert sum(self._refused(tracer).values()) == 0
 
 
 class TestCompileMemo:

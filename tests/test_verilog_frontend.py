@@ -90,6 +90,26 @@ class TestLexer:
         assert diag.message == "unterminated string literal"
         assert (diag.location.line, diag.location.column) == (1, 5)
 
+    def test_escaped_identifier_drops_its_backslash(self):
+        tokens = lex("wire \\bus[0] ;")
+        assert (tokens[1].kind, tokens[1].text) == (TokenKind.IDENT, "bus[0]")
+
+    def test_lone_backslash_is_a_stray_character(self):
+        # an escaped identifier needs at least one character: a backslash
+        # before whitespace must not declare a net named ''
+        text = (
+            "module top(input a, output y); wire \\ ; assign \\ = a;"
+            " assign y = \\ ; endmodule"
+        )
+        unit, collector = parse_verilog(text)
+        messages = [d.message for d in collector.errors()]
+        assert messages.count("unexpected character '\\\\'") == 3
+        tokens = lex("wire \\ ;")
+        assert [(t.kind, t.text) for t in tokens] == [
+            (TokenKind.KEYWORD, "wire"), (TokenKind.ERROR, "\\"),
+            (TokenKind.PUNCT, ";"), (TokenKind.EOF, ""),
+        ]
+
     @pytest.mark.parametrize("char", ["\u0663", "\u00b2", "\u00e9"])
     def test_non_ascii_outside_strings_is_a_stray_character(self, char):
         # token classes are ASCII: no Arabic-Indic digit reads as 3, no

@@ -68,6 +68,16 @@ class TestLexer:
         assert tokens[0].kind is TokenKind.BASED_NUMBER
         assert tokens[0].text == 'x"A5"'
 
+    def test_unterminated_bit_string_reported_from_its_base(self):
+        collector = DiagnosticCollector()
+        tokens = lex_vhdl(SourceFile("t.vhd", 'y <= x"01'), collector)
+        error = tokens[-2]
+        assert error.kind is TokenKind.ERROR and error.text == 'x"01'
+        assert (error.span.start_offset, error.span.end_offset) == (5, 9)
+        [diag] = collector.diagnostics
+        assert diag.message == "unterminated string literal"
+        assert (diag.location.line, diag.location.column) == (1, 6)
+
     def test_string_literal(self):
         tokens = lex('report "Test Case 1 Failed";')
         assert any(t.kind is TokenKind.STRING for t in tokens)
